@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note lint-audit lint-urikey test race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
+.PHONY: all build check fmt vet lint lint-note lint-audit test race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
 
 all: build check
 
@@ -52,7 +52,6 @@ lint-note:
 	@echo '  and its same-package callees.'
 	@echo 'narrow a lint run with PKG:   make lint PKG=./internal/engine/...'
 	@echo 'audit stale suppressions:     make lint-audit'
-	@echo 'assert zero URI-keyed maps:   make lint-urikey'
 
 # lint-audit re-runs the suite in audit mode and condemns every
 # justified suppression whose analyzer is gone or whose diagnostic no
@@ -60,21 +59,6 @@ lint-note:
 # suppressions exist.
 lint-audit: bin/swrecvet
 	$(GO) run ./cmd/lintaudit -vettool bin/swrecvet
-
-# lint-urikey asserts the interned data model holds: zero URI-string-
-# keyed maps in the hot packages. The urikey analyzer is enforced in
-# `make lint`; this target is the focused emptiness check CI runs (and
-# the historical name of the baseline-regeneration target, kept so the
-# burn-down workflow's muscle memory still works).
-lint-urikey: bin/swrecvet
-	@out=$$($(GO) vet -vettool=$(abspath bin/swrecvet) ./... 2>&1 \
-		| grep 'map keyed by URI string' | sed 's|^$(CURDIR)/||' | sort); \
-	if [ -n "$$out" ]; then \
-		echo "$$out"; \
-		echo 'lint-urikey: URI-string-keyed maps in hot packages (want none)'; \
-		exit 1; \
-	fi; \
-	echo 'lint-urikey: no URI-string-keyed maps in hot packages'
 
 build:
 	$(GO) build ./...

@@ -15,7 +15,7 @@
 //	       [-request-budget 50ms] [-compute-budget 2s]
 //	       [-strategy-min-peers 3] [-strategy-min-overlap 0.1]
 //	       [-strategy-hop-decay 0.5] [-strategy-ancestor-depth 2]
-//	       [-strategy-disable rung,...] [-compat-degraded]
+//	       [-strategy-disable rung,...]
 //
 // With -wal the server opens the durable write path (internal/ingest):
 // POST/DELETE endpoints on /v1/agents accept first-party mutations,
@@ -54,9 +54,7 @@
 // neighborhoods — are answered by walking the strategy ladder
 // (internal/strategy); every list response reports the chosen rung and
 // attempt trace in its strategy block. The -strategy-* flags shape the
-// ladder thresholds, -strategy-disable turns rungs off, and
-// -compat-degraded re-emits the deprecated degraded/degradedSource/
-// degradedEpoch fields alongside the strategy block for old clients.
+// ladder thresholds and -strategy-disable turns rungs off.
 //
 // The server logs one line per request (method, path, status, duration),
 // applies read/write timeouts, and shuts down gracefully on SIGINT or
@@ -112,7 +110,6 @@ func main() {
 	stratHopDecay := flag.Float64("strategy-hop-decay", 0, "rank attenuation for trust-hop widening (0 = default 0.5)")
 	stratAncestorDepth := flag.Int("strategy-ancestor-depth", 0, "taxonomy depth profiles generalize to in ancestor backoff (0 = default 2)")
 	stratDisable := flag.String("strategy-disable", "", "comma-separated strategy rungs to disable (see GET /v1/strategies)")
-	compatDegraded := flag.Bool("compat-degraded", false, "re-emit deprecated degraded/degradedSource/degradedEpoch fields alongside the strategy block")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "swrecd: ", log.LstdFlags)
@@ -242,7 +239,7 @@ func main() {
 	// The ingest pipeline replays unapplied WAL records at Open and is
 	// the engine's only swapper; the API submits mutations through it.
 	var pipe *ingest.Pipeline
-	apiCfg := api.Config{ReadBudget: *requestBudget, CompatDegraded: *compatDegraded}
+	apiCfg := api.Config{ReadBudget: *requestBudget}
 	handler := api.NewWithConfig(eng, nil, apiCfg)
 	if *walDir != "" {
 		icfg := ingest.Config{CheckpointEvery: *ckptEvery, CheckpointRetain: *ckptRetain}

@@ -55,10 +55,9 @@
 // the full rung attempt trace, and the answering epoch. The strategy=
 // parameter pins one rung (strategy=popularity) or excludes rungs
 // (strategy=-popularity,-degraded-cache), validated like the other
-// overrides; GET /v1/strategies lists the configured ladder. The PR 3
-// top-level degraded/degradedSource/degradedEpoch fields are deprecated
-// in favor of the strategy block and are emitted only when the server
-// runs with Config.CompatDegraded (swrecd -compat-degraded).
+// overrides; GET /v1/strategies lists the configured ladder. A degraded
+// answer is marked in the same block (strategy.degraded, .source,
+// .epoch).
 package api
 
 import (
@@ -188,11 +187,6 @@ type Config struct {
 	// else 504 deadline_exceeded. 0 means only the client's context
 	// bounds the request.
 	ReadBudget time.Duration
-	// CompatDegraded re-emits the deprecated top-level degraded /
-	// degradedSource / degradedEpoch envelope fields alongside the
-	// strategy block for one release, for clients that have not migrated
-	// to strategy.degraded yet.
-	CompatDegraded bool
 }
 
 // Server is the HTTP handler layer over one serving engine.
@@ -316,20 +310,12 @@ type errorBody struct {
 // the rung attempt trace, and the answering epoch — including the
 // degraded marker when the bottom rung served from a previous-epoch
 // cache.
-//
-// Deprecated: the top-level Degraded / DegradedSource / DegradedEpoch
-// fields duplicate strategy.degraded / strategy.source / strategy.epoch
-// and are emitted only under Config.CompatDegraded; they will be removed
-// next release.
 type page struct {
-	Items          any              `json:"items"`
-	Total          int              `json:"total"`
-	Offset         *int             `json:"offset,omitempty"`
-	Limit          *int             `json:"limit,omitempty"`
-	Strategy       *strategy.Result `json:"strategy,omitempty"`
-	Degraded       bool             `json:"degraded,omitempty"`
-	DegradedSource string           `json:"degradedSource,omitempty"`
-	DegradedEpoch  uint64           `json:"degradedEpoch,omitempty"`
+	Items    any              `json:"items"`
+	Total    int              `json:"total"`
+	Offset   *int             `json:"offset,omitempty"`
+	Limit    *int             `json:"limit,omitempty"`
+	Strategy *strategy.Result `json:"strategy,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -349,16 +335,9 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 
 // writeList emits the items envelope without a pagination window. All
 // provenance-carrying responses route through here (res non-nil), so the
-// strategy block — and its deprecated top-level mirror under compat —
-// is attached in exactly one place.
-func (s *Server) writeList(w http.ResponseWriter, items any, total int, res *strategy.Result) {
-	p := page{Items: items, Total: total, Strategy: res}
-	if res != nil && res.Degraded && s.cfg.CompatDegraded {
-		p.Degraded = true
-		p.DegradedSource = res.Source
-		p.DegradedEpoch = res.Epoch
-	}
-	writeJSON(w, p)
+// strategy block is attached in exactly one place.
+func writeList(w http.ResponseWriter, items any, total int, res *strategy.Result) {
+	writeJSON(w, page{Items: items, Total: total, Strategy: res})
 }
 
 // writePage emits the items envelope with its pagination window.
@@ -499,7 +478,7 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rungs := s.eng.Ladder().Rungs()
-	s.writeList(w, rungs, len(rungs), nil)
+	writeList(w, rungs, len(rungs), nil)
 }
 
 // agentSummary is the list view of one agent.
@@ -628,7 +607,7 @@ func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, snap *en
 	if peers == nil {
 		peers = []core.PeerRank{}
 	}
-	s.writeList(w, peers, total, res)
+	writeList(w, peers, total, res)
 }
 
 func (s *Server) serveProfile(w http.ResponseWriter, r *http.Request, snap *engine.Snapshot, id model.AgentID) {
@@ -656,7 +635,7 @@ func (s *Server) serveProfile(w http.ResponseWriter, r *http.Request, snap *engi
 			Score: e.Value,
 		})
 	}
-	s.writeList(w, items, len(prof), nil)
+	writeList(w, items, len(prof), nil)
 }
 
 func (s *Server) serveRecommendations(w http.ResponseWriter, r *http.Request, snap *engine.Snapshot, id model.AgentID) {
@@ -716,7 +695,7 @@ func (s *Server) serveRecommendations(w http.ResponseWriter, r *http.Request, sn
 		}
 		items = append(items, ro)
 	}
-	s.writeList(w, items, len(items), res)
+	writeList(w, items, len(items), res)
 }
 
 func (s *Server) handleProduct(w http.ResponseWriter, r *http.Request) {

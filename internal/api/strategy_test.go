@@ -39,7 +39,7 @@ func newFixtureServer(t *testing.T) (*Server, *model.Community, model.AgentID) {
 
 // TestStrategyBlockOnEveryRead is the provenance acceptance test: every
 // recommendations and neighbors response carries the strategy block, and
-// the legacy degraded fields are gone without the compat flag.
+// the removed top-level degraded fields stay gone.
 func TestStrategyBlockOnEveryRead(t *testing.T) {
 	s, comm, _ := newTestServer(t)
 	agent := comm.Agents()[0]
@@ -58,8 +58,8 @@ func TestStrategyBlockOnEveryRead(t *testing.T) {
 			t.Fatalf("%s: strategy block = %+v", suffix, out.Strategy)
 		}
 
-		// Without the compat flag the deprecated fields are not emitted at
-		// all (absent, not just false/empty).
+		// The degraded marker lives only in the strategy block; the old
+		// top-level fields are absent, not just false/empty.
 		raw := doRaw(t, s, agentPath(agent, suffix))
 		var fields map[string]json.RawMessage
 		if err := json.Unmarshal(raw, &fields); err != nil {
@@ -67,7 +67,7 @@ func TestStrategyBlockOnEveryRead(t *testing.T) {
 		}
 		for _, legacy := range []string{"degraded", "degradedSource", "degradedEpoch"} {
 			if _, ok := fields[legacy]; ok {
-				t.Fatalf("%s: legacy field %q emitted without compat flag", suffix, legacy)
+				t.Fatalf("%s: removed legacy field %q emitted", suffix, legacy)
 			}
 		}
 	}
@@ -156,32 +156,5 @@ func TestStrategyOverride(t *testing.T) {
 				t.Fatalf("%s%s error code = %q", suffix, q, code)
 			}
 		}
-	}
-}
-
-// TestStrategyCompatFlag keeps the legacy degraded fields for configured
-// deployments — but only on actually degraded answers.
-func TestStrategyCompatFlag(t *testing.T) {
-	comm := testCommunity(t, 30, 40)
-	eng, err := engine.New(comm, core.Options{
-		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
-	}, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(eng, nil, Config{CompatDegraded: true})
-	agent := comm.Agents()[0]
-	raw := doRaw(t, s, agentPath(agent, "/recommendations"))
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fields["strategy"]; !ok {
-		t.Fatal("compat server dropped the strategy block")
-	}
-	// A healthy (non-degraded) answer carries no legacy fields even under
-	// the compat flag.
-	if _, ok := fields["degraded"]; ok {
-		t.Fatal("healthy answer emitted degraded fields")
 	}
 }

@@ -100,10 +100,9 @@ type Filter struct {
 	// resolved once at the public entry, never re-hashed as a string.
 	profiles map[int32]sparse.Vector
 	// mat is the compiled CSR profile matrix (internal/profmat), built
-	// once per filter for taxonomy-space representations and consulted by
-	// every similarity before the map-based fallback. Guarded by mu; nil
-	// until the first Compile/Similarity. The Product representation
-	// never compiles (its dimension space grows with interning).
+	// once per filter and read by every similarity: taxonomy-space rows
+	// for Taxonomy/FlatCategory, rating vectors over product ordinals for
+	// Product. Guarded by mu; nil until the first Compile/Similarity.
 	mat *profmat.Matrix
 	// scratch pools *profmat.Scratch instances for batch scans: the
 	// active row is scattered into a dense image once, then every peer
@@ -222,16 +221,9 @@ func batchWorkers(n int) int {
 	return w
 }
 
-// Compilable reports whether the filter's representation admits a
-// compiled profile matrix: taxonomy-space representations do, the
-// Product representation (whose dimension space grows with product
-// interning) does not.
-func (f *Filter) Compilable() bool { return f.opt.Representation != Product }
-
 // Compile builds the compiled profile matrix for every agent of the
 // community, after which similarities run as zero-allocation merge-joins.
-// Idempotent; concurrent callers serialize on the filter lock. No-op for
-// the Product representation.
+// Idempotent; concurrent callers serialize on the filter lock.
 func (f *Filter) Compile(ctx context.Context) error {
 	return f.CompileDelta(ctx, nil, nil)
 }
@@ -241,15 +233,17 @@ func (f *Filter) Compile(ctx context.Context) error {
 // (internal/engine). A nil prev or dirty compiles from scratch. On ctx
 // expiry the filter is left uncompiled and the next call retries.
 func (f *Filter) CompileDelta(ctx context.Context, prev *profmat.Matrix, dirty func(int32) bool) error {
-	if !f.Compilable() {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.compileLocked(ctx, prev, dirty)
+}
+
+// compileLocked builds f.mat unless it exists. Caller holds f.mu.
+func (f *Filter) compileLocked(ctx context.Context, prev *profmat.Matrix, dirty func(int32) bool) error {
 	if f.mat != nil {
 		return nil
 	}
-	mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.gen.Taxonomy().Len(), 0, prev, dirty)
+	mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.dims(), 0, prev, dirty)
 	if err != nil {
 		return err
 	}
@@ -257,36 +251,37 @@ func (f *Filter) CompileDelta(ctx context.Context, prev *profmat.Matrix, dirty f
 	return nil
 }
 
-// Matrix returns the compiled profile matrix, or nil before Compile (and
-// always for the Product representation). The matrix is immutable; the
-// engine's delta swap feeds it back through CompileDelta.
+// dims is the compiled matrix's dimension space: the taxonomy length for
+// taxonomy-space representations, the product count for Product.
+func (f *Filter) dims() int {
+	if f.gen == nil {
+		return f.comm.NumProducts()
+	}
+	return f.gen.Taxonomy().Len()
+}
+
+// Matrix returns the compiled profile matrix, or nil before Compile. The
+// matrix is immutable; the engine's delta swap feeds it back through
+// CompileDelta.
 func (f *Filter) Matrix() *profmat.Matrix {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.mat
 }
 
-// matrix returns the compiled matrix, building it on first use for
-// compilable representations. Returns nil when the representation cannot
-// compile or the build was cancelled.
+// matrix returns the compiled matrix, building it on first use. Returns
+// nil when the build was cancelled; rowOf reads a nil matrix as empty.
 func (f *Filter) matrix(ctx context.Context) *profmat.Matrix {
-	if !f.Compilable() {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.mat == nil {
-		mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.gen.Taxonomy().Len(), 0, nil, nil)
-		if err != nil {
-			return nil
-		}
-		f.mat = mat
+	if f.compileLocked(ctx, nil, nil) != nil {
+		return nil
 	}
 	return f.mat
 }
 
-// emptyRow stands in for unknown agents on the compiled path, yielding
-// the same undefined-similarity result the empty map vector does.
+// emptyRow stands in for unknown agents, yielding an undefined
+// similarity.
 var emptyRow = &profmat.Row{}
 
 // rowOf returns the compiled row for id — one community resolution to
@@ -311,10 +306,10 @@ func (f *Filter) similarityRows(a, b *profmat.Row) (float64, bool) {
 	}
 }
 
-// getScratch returns a pooled dense scratch covering the taxonomy
+// getScratch returns a pooled dense scratch covering the matrix's
 // dimension space; return it with f.scratch.Put when done.
 func (f *Filter) getScratch() *profmat.Scratch {
-	dims := f.gen.Taxonomy().Len()
+	dims := f.dims()
 	if sc, ok := f.scratch.Get().(*profmat.Scratch); ok && sc.Dims() >= dims {
 		return sc
 	}
@@ -335,25 +330,10 @@ func (f *Filter) similarityScratch(sc *profmat.Scratch, b *profmat.Row) (float64
 // Similarity returns the similarity of a and b under the configured
 // measure; ok is false when the measure is undefined for the pair (the
 // profile-overlap failure the taxonomy representation is designed to
-// avoid). Compilable representations serve from the compiled matrix
-// (building it on first use); Product falls back to the map vectors.
+// avoid). Served from the compiled matrix, built on first use.
 func (f *Filter) Similarity(a, b model.AgentID) (float64, bool) {
-	return f.SimilarityCtx(context.Background(), a, b)
-}
-
-// SimilarityCtx is Similarity with cancellation of the one-time compile
-// step (the per-pair kernel itself is microseconds).
-func (f *Filter) SimilarityCtx(ctx context.Context, a, b model.AgentID) (float64, bool) {
-	if mat := f.matrix(ctx); mat != nil {
-		return f.similarityRows(f.rowOf(mat, a), f.rowOf(mat, b))
-	}
-	va, vb := f.ProfileOf(a), f.ProfileOf(b)
-	switch f.opt.Measure {
-	case Cosine:
-		return sparse.Cosine(va, vb)
-	default:
-		return sparse.Pearson(va, vb)
-	}
+	mat := f.matrix(context.Background())
+	return f.similarityRows(f.rowOf(mat, a), f.rowOf(mat, b))
 }
 
 // SimResult is one entry of a batch similarity scan.
@@ -364,23 +344,13 @@ type SimResult struct {
 
 // Similarities computes the similarity of active against every peer in
 // one scan, writing into out (which must be at least len(peers) long).
-// On the compiled path the scan is embarrassingly parallel over immutable
-// rows and fans out across a bounded worker pool when enough peers and
-// CPUs make it worthwhile; the fallback path runs sequentially under the
-// profile cache lock. Checks ctx at chunk boundaries; on cancellation out
-// is partial and ctx.Err() is returned.
+// The scan is embarrassingly parallel over immutable rows and fans out
+// across a bounded worker pool when enough peers and CPUs make it
+// worthwhile. Checks ctx at chunk boundaries; on cancellation out is
+// partial and ctx.Err() is returned.
 func (f *Filter) Similarities(ctx context.Context, active model.AgentID, peers []model.AgentID, out []SimResult) error {
 	mat := f.matrix(ctx)
 	if mat == nil {
-		for i, p := range peers {
-			if i&15 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			s, ok := f.Similarity(active, p)
-			out[i] = SimResult{Sim: s, OK: ok}
-		}
 		return ctx.Err()
 	}
 	ar := f.rowOf(mat, active)

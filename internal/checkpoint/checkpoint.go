@@ -39,7 +39,7 @@ type Image struct {
 	//nolint:snapshotpin -- an Image is a transient encode/decode carrier scoped to one Capture/Encode or Load/Restore call, not cached serving state; it never outlives the epoch it describes
 	Community *model.Community
 	// Rows holds the compiled CSR profile rows, parallel to
-	// Community.Agents(); nil when the representation is not compilable.
+	// Community.Agents(); nil when the snapshot had not compiled yet.
 	Rows []profmat.Row
 	// Topics/Postings are the topic index in canonical export order; nil
 	// Topics means the index was not captured.
@@ -530,11 +530,23 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*i:]))
 		}
+		// Every similarity kernel indexes a dense scratch by row key, so a
+		// key outside the dimension space — topics for taxonomy-space
+		// rows, catalog ordinals for Product rows — or out of order is
+		// corruption, however well its checksum verifies.
+		dims := nProducts
+		if opt.CF.Representation != cf.Product {
+			dims = tax.Len()
+		}
 		img.Rows = make([]profmat.Row, n)
 		off := 0
 		for i := 0; i < n; i++ {
+			rk := keys[off : off+lens[i] : off+lens[i]]
+			if !keysValid(rk, dims) {
+				return nil, fmt.Errorf("%w: profmat row %d keys not strictly ascending in [0,%d)", ErrCorrupt, i, dims)
+			}
 			img.Rows[i] = profmat.Row{
-				Keys: keys[off : off+lens[i] : off+lens[i]],
+				Keys: rk,
 				Vals: vals[off : off+lens[i] : off+lens[i]],
 			}
 			off += lens[i]
@@ -654,6 +666,19 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 		return nil, df.err
 	}
 	return img, nil
+}
+
+// keysValid reports whether keys are strictly ascending and inside
+// [0, dims) — the Row invariant the compiled kernels rely on.
+func keysValid(keys []int32, dims int) bool {
+	prev := int32(-1)
+	for _, k := range keys {
+		if k <= prev || int(k) >= dims {
+			return false
+		}
+		prev = k
+	}
+	return true
 }
 
 // Restore builds a serving engine from the image: the compiled rows,

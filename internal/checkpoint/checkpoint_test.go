@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,9 +66,9 @@ func testCommunity(t testing.TB, n int) *model.Community {
 // warmEngine builds a serving engine and touches every agent so the
 // peers/profiles caches are populated — a checkpoint captured from it
 // exercises every section of the format.
-func warmEngine(t testing.TB, comm *model.Community) *engine.Engine {
+func warmEngine(t testing.TB, comm *model.Community, opt core.Options) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(comm, testOptions(), testConfig())
+	eng, err := engine.New(comm, opt, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func warmEngine(t testing.TB, comm *model.Community) *engine.Engine {
 
 func testImage(t testing.TB, seq uint64) *Image {
 	t.Helper()
-	return Capture(warmEngine(t, testCommunity(t, 12)).Snapshot(), seq)
+	return Capture(warmEngine(t, testCommunity(t, 12), testOptions()).Snapshot(), seq)
 }
 
 // recsDigest fingerprints the full serving surface: every agent's
@@ -105,51 +106,65 @@ func recsDigest(t testing.TB, snap *engine.Snapshot) string {
 	return b.String()
 }
 
+// productOptions runs the Product representation, whose rows are
+// rating vectors over catalog ordinals rather than topic profiles.
+func productOptions() core.Options {
+	return core.Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Product}}
+}
+
 // TestEncodeDecodeRoundTrip pins the format's core property:
 // Encode(Decode(Encode(img))) is byte-identical, and the decoded image
-// restores an engine that serves exactly what the captured one did.
+// restores an engine that serves exactly what the captured one did, for
+// topic-profile and rating-vector rows alike.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	img := testImage(t, 42)
-	data := Encode(img)
+	for _, opt := range []core.Options{testOptions(), productOptions()} {
+		t.Run(opt.CF.Representation.String(), func(t *testing.T) {
+			img := Capture(warmEngine(t, testCommunity(t, 12), opt).Snapshot(), 42)
+			if len(img.Rows) != img.Community.NumAgents() {
+				t.Fatalf("image carries %d profmat rows for %d agents", len(img.Rows), img.Community.NumAgents())
+			}
+			data := Encode(img)
 
-	img2, err := Decode(data, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img2.Epoch != img.Epoch || img2.Seq != img.Seq {
-		t.Fatalf("epoch/seq drifted: got %d/%d, want %d/%d", img2.Epoch, img2.Seq, img.Epoch, img.Seq)
-	}
-	if len(img2.Rows) != len(img.Rows) {
-		t.Fatalf("got %d rows, want %d", len(img2.Rows), len(img.Rows))
-	}
-	data2 := Encode(img2)
-	if !bytes.Equal(data, data2) {
-		t.Fatalf("re-encode is not byte-identical: %d vs %d bytes", len(data), len(data2))
-	}
+			img2, err := Decode(data, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img2.Epoch != img.Epoch || img2.Seq != img.Seq {
+				t.Fatalf("epoch/seq drifted: got %d/%d, want %d/%d", img2.Epoch, img2.Seq, img.Epoch, img.Seq)
+			}
+			if len(img2.Rows) != len(img.Rows) {
+				t.Fatalf("got %d rows, want %d", len(img2.Rows), len(img.Rows))
+			}
+			data2 := Encode(img2)
+			if !bytes.Equal(data, data2) {
+				t.Fatalf("re-encode is not byte-identical: %d vs %d bytes", len(data), len(data2))
+			}
 
-	// The restored engine must be fingerprint-equal to the source —
-	// warm from the first request, no recompute drift.
-	eng2, err := img2.Restore(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := warmEngine(t, testCommunity(t, 12))
-	if got, want := recsDigest(t, eng2.Snapshot()), recsDigest(t, src.Snapshot()); got != want {
-		t.Fatalf("restored engine diverged from source:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-	// Restored compiled rows must be adopted, not rebuilt.
-	mat := eng2.Snapshot().Recommender().Filter().Matrix()
-	if mat == nil {
-		t.Fatal("restored engine has no compiled matrix")
-	}
-	for i, id := range img2.Community.Agents() {
-		r := mat.Row(img2.Community.Agent(id).Ord())
-		if r == nil {
-			t.Fatalf("restored matrix missing row for %s", id)
-		}
-		if r.Norm != img.Rows[i].Norm || r.Sum != img.Rows[i].Sum || r.NNZ() != img.Rows[i].NNZ() {
-			t.Fatalf("row %d differs from captured row", i)
-		}
+			// The restored engine must be fingerprint-equal to a clean
+			// build — warm from the first request, no recompute drift.
+			eng2, err := img2.Restore(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := warmEngine(t, testCommunity(t, 12), opt)
+			if got, want := recsDigest(t, eng2.Snapshot()), recsDigest(t, src.Snapshot()); got != want {
+				t.Fatalf("restored engine diverged from source:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			}
+			// Restored compiled rows must be adopted, not rebuilt.
+			mat := eng2.Snapshot().Recommender().Filter().Matrix()
+			if mat.Built() != 0 {
+				t.Fatalf("restored engine recompiled %d rows", mat.Built())
+			}
+			for i, id := range img2.Community.Agents() {
+				r := mat.Row(img2.Community.Agent(id).Ord())
+				if r == nil {
+					t.Fatalf("restored matrix missing row for %s", id)
+				}
+				if r.Norm != img.Rows[i].Norm || r.Sum != img.Rows[i].Sum || r.NNZ() != img.Rows[i].NNZ() {
+					t.Fatalf("row %d differs from captured row", i)
+				}
+			}
+		})
 	}
 }
 
@@ -157,7 +172,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // epoch community: retracted statements, new agents, re-rated products.
 func TestRoundTripAfterChurn(t *testing.T) {
 	comm := testCommunity(t, 12)
-	eng := warmEngine(t, comm)
+	eng := warmEngine(t, comm, testOptions())
 	ids := comm.Agents()
 	next := comm.Clone()
 	if err := next.SetTrust(ids[0], ids[5], 0.9); err != nil {
@@ -185,6 +200,42 @@ func TestRoundTripAfterChurn(t *testing.T) {
 	}
 	if !bytes.Equal(data, Encode(img2)) {
 		t.Fatal("re-encode after churn is not byte-identical")
+	}
+}
+
+// TestDecodeRejectsBadRowKeys: a CRC-valid image whose profmat row keys
+// leave the dimension space or break their strict ascending order would
+// index the similarity scratch out of bounds; Decode must refuse it as
+// corrupt. The dimension space is the topic count for taxonomy-space
+// rows and the product count (2 here) for Product rows.
+func TestDecodeRejectsBadRowKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opt    core.Options
+		mutate func(k []int32)
+	}{
+		{"beyond dims", testOptions(), func(k []int32) { k[0] = 1 << 30 }},
+		{"negative", testOptions(), func(k []int32) { k[0] = -1 }},
+		{"descending", testOptions(), func(k []int32) { k[0], k[1] = k[1], k[0] }},
+		{"duplicate", testOptions(), func(k []int32) { k[1] = k[0] }},
+		{"beyond product count", productOptions(), func(k []int32) { k[0] = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := Capture(warmEngine(t, testCommunity(t, 12), tc.opt).Snapshot(), 5)
+			// Mutate a private copy of the longest row's keys, leaving
+			// the shared arena intact.
+			long := 0
+			for i := range img.Rows {
+				if img.Rows[i].NNZ() > img.Rows[long].NNZ() {
+					long = i
+				}
+			}
+			img.Rows[long].Keys = slices.Clone(img.Rows[long].Keys)
+			tc.mutate(img.Rows[long].Keys)
+			if _, err := Decode(Encode(img), tc.opt); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 package checkpoint_test
 
 import (
+	"errors"
 	"expvar"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -317,6 +319,52 @@ func TestRecoverySmoke(t *testing.T) {
 	}
 	if res.Seq != infos[1].Seq {
 		t.Fatalf("recovered seq %d, want the previous checkpoint's %d", res.Seq, infos[1].Seq)
+	}
+	finishRecovery(t, dir, res, base, all)
+}
+
+// TestRecoverStepsPastBadRowKey plants a profmat row key far outside the
+// topic space in the newest checkpoint and re-encodes it, so every
+// checksum verifies. Decode must reject it as corrupt and the ladder
+// must land on the previous retained checkpoint instead of restoring a
+// matrix whose first similarity scan indexes out of bounds.
+func TestRecoverStepsPastBadRowKey(t *testing.T) {
+	dir := t.TempDir()
+	base, all := buildDurableState(t, dir, false)
+	infos, err := checkpoint.List(checkpoint.Dir(dir))
+	if err != nil || len(infos) < 2 {
+		t.Fatalf("fixture checkpoints: %v, %d files", err, len(infos))
+	}
+	img, err := checkpoint.Load(infos[0].Path, rOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := false
+	for i := range img.Rows {
+		if img.Rows[i].NNZ() > 0 {
+			keys := slices.Clone(img.Rows[i].Keys)
+			keys[len(keys)-1] = 1 << 30
+			img.Rows[i].Keys = keys
+			planted = true
+			break
+		}
+	}
+	if !planted {
+		t.Fatal("newest checkpoint has no non-empty row")
+	}
+	if err := os.WriteFile(infos[0].Path, checkpoint.Encode(img), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Load(infos[0].Path, rOptions()); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("Load of the planted image: got %v, want ErrCorrupt", err)
+	}
+
+	res, err := checkpoint.Recover(recoverCfg(t, dir, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rung != 2 || res.Source != "checkpoint-prev" {
+		t.Fatalf("landed on rung %d (%s), want rung 2 (checkpoint-prev); fallbacks: %v", res.Rung, res.Source, res.Fallbacks)
 	}
 	finishRecovery(t, dir, res, base, all)
 }

@@ -261,24 +261,22 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 	// Compile the similarity substrate eagerly — the first request should
 	// find warm rows, not pay the build. On a delta swap only the dirty
 	// agents' rows are recompiled; the rest alias the previous arenas.
-	if f := rec.Filter(); f.Compilable() {
-		var prevMat *profmat.Matrix
-		var dirtyRow func(int32) bool
-		if delta {
-			prevMat = prev.rec.Filter().Matrix()
-			dirtyRow = func(ord int32) bool { return d.RatingsChanged[ord] }
-		}
-		//nolint:ctxflow -- snapshot construction runs at New/Swap time, not on a request path; there is no caller deadline to thread
-		if err := f.CompileDelta(context.Background(), prevMat, dirtyRow); err != nil {
-			return nil, err
-		}
-		if mat := f.Matrix(); mat != nil && delta {
-			stats.Add("carried_rows", int64(mat.Len()-mat.Built()))
-		}
+	f := rec.Filter()
+	var prevMat *profmat.Matrix
+	var dirtyRow func(int32) bool
+	if delta {
+		prevMat = prev.rec.Filter().Matrix()
+		dirtyRow = func(ord int32) bool { return d.RatingsChanged[ord] }
+	}
+	//nolint:ctxflow -- snapshot construction runs at New/Swap time, not on a request path; there is no caller deadline to thread
+	if err := f.CompileDelta(context.Background(), prevMat, dirtyRow); err != nil {
+		return nil, err
 	}
 	if !delta {
 		return s, nil
 	}
+	mat := f.Matrix()
+	stats.Add("carried_rows", int64(mat.Len()-mat.Built()))
 
 	trustDirty := trustDirtySet(prev.comm, comm, d.TrustChanged)
 	dirtyTrust := func(ord int32) bool {

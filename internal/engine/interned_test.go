@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"swrec/internal/cf"
+	"swrec/internal/core"
 )
 
 // servingFingerprint hashes the complete serving output of a snapshot on
@@ -44,18 +47,40 @@ func servingFingerprint(t testing.TB, snap *Snapshot) string {
 // data model to byte-identical serving output.
 const preInternFingerprint = "3976785e17235065ef071ec31b2d94984bc9785eb234cc41e81d13212a57f178"
 
-// TestInternedFingerprintMatchesPreRefactor is the interning refactor's
-// differential gate: rekeying every hot-path structure on dense int32
-// ordinals must not move a single score bit. The corpus, options, and
-// answer sizes match the constant's recording run exactly.
+// TestInternedFingerprintMatchesPreRefactor is the serving output's
+// differential gate: rekeying hot-path structures on dense ordinals, or
+// collapsing a kernel onto one implementation, must not move a single
+// score bit. Every row runs the same corpus and answer sizes; the
+// non-default rows were recorded on the tree that still carried the
+// generic trust walks and cf's map-vector similarity path, so they pin
+// the Product representation and the PathTrust/Advogato metrics across
+// that deletion.
 func TestInternedFingerprintMatchesPreRefactor(t *testing.T) {
 	comm := testCommunity(t, 120, 240)
-	e, err := New(comm, testOptions(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := servingFingerprint(t, e.Snapshot())
-	if got != preInternFingerprint {
-		t.Fatalf("serving fingerprint drifted from the pre-refactor recording:\n got %s\nwant %s", got, preInternFingerprint)
+	for _, tc := range []struct {
+		name string
+		opt  func(*core.Options)
+		want string
+	}{
+		{"taxonomy-cosine", func(*core.Options) {}, preInternFingerprint},
+		{"product-pearson", func(o *core.Options) {
+			o.CF = cf.Options{Representation: cf.Product, Measure: cf.Pearson}
+		}, "2be9233057abfba423cbbbfba1e49ee1d7e780ba866cb22c4e5a37c1117c5237"},
+		{"pathtrust", func(o *core.Options) { o.Metric = core.PathTrust },
+			"4cfddddb7b93fb762e3734db33888847c18c9621ebe7f7886df7a90ba615e094"},
+		{"advogato", func(o *core.Options) { o.Metric = core.Advogato },
+			"4249178a7664e937f5a1d0bb4a78db15a700c15f88e2fefee2b968276c98dbe6"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := testOptions()
+			tc.opt(&opt)
+			e, err := New(comm, opt, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := servingFingerprint(t, e.Snapshot()); got != tc.want {
+				t.Fatalf("serving fingerprint drifted from the recording:\n got %s\nwant %s", got, tc.want)
+			}
+		})
 	}
 }

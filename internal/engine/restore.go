@@ -224,15 +224,15 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 	if tax := r.Community.Taxonomy(); tax != nil {
 		s.gen = profile.New(tax)
 	}
-	if f := rec.Filter(); f.Compilable() {
-		clean := func(int32) bool { return false }
-		//nolint:ctxflow -- restore runs at process start, not on a request path; there is no caller deadline to thread
-		if err := f.CompileDelta(context.Background(), r.Matrix, clean); err != nil {
-			return nil, err
-		}
-		if mat := f.Matrix(); mat != nil && r.Matrix != nil {
-			stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
-		}
+	f := rec.Filter()
+	clean := func(int32) bool { return false }
+	//nolint:ctxflow -- restore runs at process start, not on a request path; there is no caller deadline to thread
+	if err := f.CompileDelta(context.Background(), r.Matrix, clean); err != nil {
+		return nil, err
+	}
+	if r.Matrix != nil {
+		mat := f.Matrix()
+		stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
 	}
 	if r.Index != nil {
 		s.ix.Store(r.Index)

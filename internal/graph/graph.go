@@ -45,12 +45,6 @@ func (in *Interner) Intern(name string) int {
 	return id
 }
 
-// Lookup returns the node index of name without assigning one.
-func (in *Interner) Lookup(name string) (int, bool) {
-	id, ok := in.ids[name]
-	return id, ok
-}
-
 // Name returns the string identifier of node id.
 func (in *Interner) Name(id int) string {
 	if id < 0 || id >= len(in.names) {

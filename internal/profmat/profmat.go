@@ -1,12 +1,15 @@
-// Package profmat compiles a community's taxonomy interest profiles
-// (internal/profile, Eq. 3) into a per-snapshot CSR matrix: one row per
-// agent, sorted int32 topic dimensions beside float64 scores in shared
-// backing arenas, with the row norm, entry sum and nnz precomputed. The
-// map-based sparse.Vector representation is ideal for incremental
-// accumulation but pays a hash lookup per touched dimension and a heap
-// allocation per profile; the compiled form costs one dense-scratch pass
-// per agent at snapshot build time and makes every later similarity a
-// zero-allocation merge-join over two sorted postings lists.
+// Package profmat compiles a community's interest profiles into a
+// per-snapshot CSR matrix: one row per agent, sorted int32 dimensions
+// beside float64 scores in shared backing arenas, with the row norm,
+// entry sum and nnz precomputed. Taxonomy-space rows are the Eq. 3
+// profiles of internal/profile over topic dimensions; Product rows are
+// plain rating vectors over catalog ordinals, which are dense and
+// append-only. The map-based sparse.Vector representation is ideal for
+// incremental accumulation but pays a hash lookup per touched dimension
+// and a heap allocation per profile; the compiled form costs one
+// dense-scratch pass per agent at snapshot build time and makes every
+// later similarity a zero-allocation merge-join over two sorted
+// postings lists.
 //
 // Rows are immutable once built. Delta rebuilds (BuildDelta) carry the
 // unchanged rows of the previous matrix by value — the carried slices
@@ -24,7 +27,6 @@ import (
 
 	"swrec/internal/model"
 	"swrec/internal/profile"
-	"swrec/internal/sparse"
 )
 
 // Row is one agent's compiled profile: parallel slices of sorted
@@ -95,10 +97,10 @@ type Source interface {
 // touched dimensions in ascending order straight off the bitmap — no
 // per-agent sort, no full accumulator scan.
 type builder struct {
-	st   *profile.Streamer
-	acc  []float64 // dense score accumulator, gated by bm
-	bm   []uint64  // occupancy bitmap, one bit per dimension
-	keys []int32   // arena this worker appends compiled keys into
+	st   *profile.Streamer // nil for Product rows
+	acc  []float64         // dense score accumulator, gated by bm
+	bm   []uint64          // occupancy bitmap, one bit per dimension
+	keys []int32           // arena this worker appends compiled keys into
 	vals []float64
 }
 
@@ -109,23 +111,39 @@ type builder struct {
 const rowCapHint = 48
 
 func newBuilder(gen *profile.Generator, dims, nrows int) *builder {
-	return &builder{
-		st:   gen.NewStreamer(),
+	b := &builder{
 		acc:  make([]float64, dims),
 		bm:   make([]uint64, (dims+63)/64),
 		keys: make([]int32, 0, nrows*rowCapHint),
 		vals: make([]float64, 0, nrows*rowCapHint),
 	}
+	if gen != nil {
+		b.st = gen.NewStreamer()
+	}
+	return b
 }
 
 // compile builds agent a's row into the worker arenas and returns it.
-// The accumulation order is exactly the Streamer's increment stream —
-// the same order profile.ProfileCtx feeds its map — so the per-dimension
-// totals are bit-identical to the map-based profile.
+// Taxonomy-space rows accumulate exactly the Streamer's increment stream
+// — the same order profile.ProfileCtx feeds its map — so the
+// per-dimension totals are bit-identical to the map-based profile.
+// Product rows scatter each rating at its product's catalog ordinal,
+// the dimension profile.ProductVector assigns.
 func (b *builder) compile(ctx context.Context, a *model.Agent, cat profile.Catalog) (Row, error) {
 	clear(b.bm)
-	if err := b.st.ProfileDense(ctx, a, cat, b.acc, b.bm); err != nil {
-		return Row{}, err
+	if b.st != nil {
+		if err := b.st.ProfileDense(ctx, a, cat, b.acc, b.bm); err != nil {
+			return Row{}, err
+		}
+	} else {
+		if err := ctx.Err(); err != nil {
+			return Row{}, err
+		}
+		for p, v := range a.Ratings {
+			d := cat.Product(p).Ord()
+			b.acc[d] = v
+			b.bm[d>>6] |= 1 << (uint(d) & 63)
+		}
 	}
 	start := len(b.keys)
 	var norm2, sum float64
@@ -149,11 +167,13 @@ func (b *builder) compile(ctx context.Context, a *model.Agent, cat profile.Catal
 	}, nil
 }
 
-// Build compiles every agent of src into a fresh matrix. dims is the
-// dimension-space size (taxonomy length for taxonomy/flat-category
-// profiles). workers bounds the compile parallelism; values below 1 mean
-// GOMAXPROCS. The build is cancellable: on ctx expiry the partial matrix
-// is discarded and ctx.Err() returned.
+// Build compiles every agent of src into a fresh matrix. gen selects the
+// row kind: the Eq. 3 profiles of a taxonomy-space generator, or, when
+// nil, plain product-rating vectors. dims is the dimension-space size:
+// the taxonomy length for taxonomy/flat-category profiles, the product
+// count for rating vectors. workers bounds the compile parallelism;
+// values below 1 mean GOMAXPROCS. The build is cancellable: on ctx
+// expiry the partial matrix is discarded and ctx.Err() returned.
 func Build(ctx context.Context, src Source, gen *profile.Generator, dims, workers int) (*Matrix, error) {
 	return BuildDelta(ctx, src, gen, dims, workers, nil, nil)
 }
@@ -236,25 +256,6 @@ func BuildDelta(ctx context.Context, src Source, gen *profile.Generator, dims, w
 		}
 	}
 	return m, nil
-}
-
-// FromVector compiles a single sparse vector into a standalone row —
-// the bridge the differential tests and map-based fallbacks use.
-func FromVector(v sparse.Vector) Row {
-	es := v.Entries()
-	r := Row{
-		Keys: make([]int32, len(es)),
-		Vals: make([]float64, len(es)),
-	}
-	var norm2 float64
-	for i, e := range es {
-		r.Keys[i] = e.Key
-		r.Vals[i] = e.Value
-		norm2 += e.Value * e.Value
-		r.Sum += e.Value
-	}
-	r.Norm = math.Sqrt(norm2)
-	return r
 }
 
 // Dot returns the inner product of two rows as a merge-join over the

@@ -24,6 +24,25 @@ func randVector(rng *rand.Rand, nnz int) sparse.Vector {
 	return v
 }
 
+// fromVector compiles a single sparse vector into a standalone row —
+// the bridge from the sparse oracle to the compiled kernels.
+func fromVector(v sparse.Vector) Row {
+	es := v.Entries()
+	r := Row{
+		Keys: make([]int32, len(es)),
+		Vals: make([]float64, len(es)),
+	}
+	var norm2 float64
+	for i, e := range es {
+		r.Keys[i] = e.Key
+		r.Vals[i] = e.Value
+		norm2 += e.Value * e.Value
+		r.Sum += e.Value
+	}
+	r.Norm = math.Sqrt(norm2)
+	return r
+}
+
 // TestKernelsMatchSparseDifferential is the differential property test:
 // for random (and degenerate) vector pairs, the compiled merge-join
 // kernels must agree with the map-based sparse kernels — exactly on the
@@ -64,7 +83,7 @@ func TestKernelsMatchSparseDifferential(t *testing.T) {
 	)
 
 	for i, p := range pairs {
-		ra, rb := FromVector(p[0]), FromVector(p[1])
+		ra, rb := fromVector(p[0]), fromVector(p[1])
 		if dot, want := Dot(&ra, &rb), sparse.Dot(p[0], p[1]); !close12(dot, want) {
 			t.Fatalf("pair %d: Dot = %v, sparse %v", i, dot, want)
 		}
@@ -100,10 +119,10 @@ func TestScratchMatchesMergeJoinExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sc := NewScratch(dims)
 	for i := 0; i < 200; i++ {
-		a := FromVector(randVector(rng, rng.Intn(80)))
+		a := fromVector(randVector(rng, rng.Intn(80)))
 		sc.Load(&a)
 		for j := 0; j < 5; j++ {
-			b := FromVector(randVector(rng, rng.Intn(80)))
+			b := fromVector(randVector(rng, rng.Intn(80)))
 			cs, csOK := sc.CosineTo(&b)
 			wcs, wcsOK := Cosine(&a, &b)
 			if cs != wcs || csOK != wcsOK {
@@ -162,6 +181,51 @@ func TestBuildMatchesGeneratorProfiles(t *testing.T) {
 		}
 		if !close12(row.Norm, v.Norm()) || !close12(row.Sum, v.Sum()) {
 			t.Fatalf("agent %s: norm/sum (%v,%v) vs (%v,%v)", id, row.Norm, row.Sum, v.Norm(), v.Sum())
+		}
+	}
+}
+
+// TestBuildProductRowsMatchRatingVectors checks the Product rows (nil
+// generator) against the map-based rating vectors they replace: one
+// dimension per catalog ordinal, the rating bit-for-bit as its value,
+// and similarities that agree with the sparse oracle on the ok flag and
+// within 1e-12 on the value.
+func TestBuildProductRowsMatchRatingVectors(t *testing.T) {
+	comm := benchCommunity(t)
+	mat, err := Build(context.Background(), comm, nil, comm.NumProducts(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mat.Len() != comm.NumAgents() {
+		t.Fatalf("matrix len=%d, want %d", mat.Len(), comm.NumAgents())
+	}
+	ord := func(p model.ProductID) int32 { return comm.Product(p).Ord() }
+	ids := comm.Agents()
+	vecs := make([]sparse.Vector, len(ids))
+	for i, id := range ids {
+		vecs[i] = profile.ProductVector(comm.Agent(id), ord)
+		row := mat.Row(comm.Agent(id).Ord())
+		want := vecs[i].Entries()
+		if len(want) != row.NNZ() {
+			t.Fatalf("agent %s: nnz %d, rating vector %d", id, row.NNZ(), len(want))
+		}
+		for j, e := range want {
+			if row.Keys[j] != e.Key || row.Vals[j] != e.Value {
+				t.Fatalf("agent %s dim %d: (%d,%v), rating vector (%d,%v)", id, j, row.Keys[j], row.Vals[j], e.Key, e.Value)
+			}
+		}
+	}
+	for i := range ids {
+		for j := range ids {
+			a, b := mat.Row(int32(i)), mat.Row(int32(j))
+			pe, peOK := Pearson(a, b)
+			wpe, wpeOK := sparse.Pearson(vecs[i], vecs[j])
+			cs, csOK := Cosine(a, b)
+			wcs, wcsOK := sparse.Cosine(vecs[i], vecs[j])
+			if peOK != wpeOK || !close12(pe, wpe) || csOK != wcsOK || !close12(cs, wcs) {
+				t.Fatalf("agents %d,%d: pearson (%v,%v) vs (%v,%v), cosine (%v,%v) vs (%v,%v)",
+					i, j, pe, peOK, wpe, wpeOK, cs, csOK, wcs, wcsOK)
+			}
 		}
 	}
 }

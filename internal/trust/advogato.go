@@ -80,7 +80,7 @@ func Advogato(net Network, source model.AgentID, opt AdvogatoOptions) (*Neighbor
 			continue // beyond the profile: do not expand further
 		}
 		explored++
-		for _, st := range net.Peers(model.AgentID(in.Name(x))) {
+		for _, st := range net.peers(model.AgentID(in.Name(x))) {
 			if st.Value <= opt.MinWeight || string(st.Dst) == in.Name(x) {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"swrec/internal/graph"
 	"swrec/internal/model"
 )
 
@@ -100,11 +99,11 @@ func (o AppleseedOptions) validate() error {
 }
 
 // appleseedNode is the mutable per-node state of one computation. Nodes
-// live in one contiguous slab indexed by discovery order — pointer-free,
-// so a 400-node computation costs a handful of slab growths instead of
-// one allocation per node.
+// live in one contiguous slab indexed by discovery order, so a 400-node
+// computation costs a handful of slab growths instead of one allocation
+// per node.
 type appleseedNode struct {
-	id    model.AgentID
+	ref   *model.Agent
 	in    float64 // energy received this pass
 	inNew float64 // energy accumulating for next pass
 	rank  float64 // trust rank accumulated so far
@@ -143,68 +142,61 @@ func Appleseed(net Network, source model.AgentID, opt AppleseedOptions) (*Neighb
 // AppleseedCtx is Appleseed with cancellation: the iteration loop checks
 // ctx at every pass boundary, so a caller's deadline interrupts a long
 // spreading-activation run within one pass rather than after
-// MaxIterations. Returns ctx.Err() when cancelled.
+// MaxIterations. Returns ctx.Err() when cancelled. Node discovery and
+// edge traversal index a flat table by Agent.Ord, so no edge visit
+// hashes a URI.
 func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 
-	// Community-backed networks expose resolved, densely-interned edges:
-	// take the hash-free walk. Unknown sources fall through to the
-	// generic path, which yields the canonical empty neighborhood.
-	if rn, ok := net.(refNetwork); ok {
-		if src := rn.AgentRef(source); src != nil {
-			return appleseedRefs(ctx, rn, src, opt)
+	src := net.c.Agent(source)
+	if src == nil {
+		// An unknown source issues no statements: its walk is the one
+		// pass that fetches nothing and spreads nothing.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		return &Neighborhood{Source: source, Ranks: []Rank{}, Iterations: 1, Explored: 1}, nil
 	}
 
-	// Pre-size the node slab and interner to the graph bound when the
-	// network exposes one (community adapters do), capped by the
-	// expansion range — growth reallocations dominate the metric's
-	// allocation profile otherwise.
-	hint := 256
-	if sh, ok := net.(sizeHinter); ok {
-		if n := sh.NumAgents() + 1; n > 0 {
-			hint = n
-		}
-	}
+	// Pre-size the node slab to the graph bound, capped by the expansion
+	// range: growth reallocations dominate the metric's allocation
+	// profile otherwise.
+	hint := net.c.NumAgents() + 1
 	if opt.MaxNodes > 0 && hint > opt.MaxNodes+1 {
 		hint = opt.MaxNodes + 1
 	}
-	// sym interns agent URIs in discovery order, so an agent's interned
-	// ordinal IS its node index — the only string-keyed structure of the
-	// whole walk, touched once per discovery, never on the hot update loop.
-	var sym graph.Interner
-	sym.Reserve(hint)
-	sym.Intern(string(source))
+	// idx[ord] is the node index + 1 of the agent with that ordinal
+	// (0 = undiscovered) — the community interns agents densely, so the
+	// table covers every reachable agent.
+	idx := make([]int32, net.c.NumAgents())
 	nodes := make([]appleseedNode, 1, hint)
-	nodes[0] = appleseedNode{id: source, in: opt.Injection}
+	nodes[0] = appleseedNode{ref: src, in: opt.Injection}
+	idx[src.Ord()] = 1
 
-	// discover returns the index for id, registering it the first time;
-	// ok==false when MaxNodes forbids new nodes. Out-edges (including the
-	// virtual backward edge) are attached lazily at fetch time — only
-	// nodes that actually receive energy pay for an edge list.
-	discover := func(id model.AgentID) (int, bool) {
-		if i, ok := sym.Lookup(string(id)); ok {
-			return i, true
+	discover := func(ref *model.Agent) (int, bool) {
+		if i := idx[ref.Ord()]; i != 0 {
+			return int(i) - 1, true
 		}
 		if opt.MaxNodes > 0 && len(nodes) >= opt.MaxNodes+1 {
 			return 0, false
 		}
-		i := sym.Intern(string(id))
-		nodes = append(nodes, appleseedNode{id: id})
+		i := len(nodes)
+		idx[ref.Ord()] = int32(i) + 1
+		nodes = append(nodes, appleseedNode{ref: ref})
 		return i, true
 	}
 
-	// fetch pulls x's trust statements from the network once and attaches
-	// its out-edges in one pre-sized slice: the backward edge first (as
-	// discover used to order it), then the positive statements. Negative
-	// statements never propagate energy; they are recorded for the
-	// optional post-convergence penalty.
+	// fetch pulls x's trust statements once and attaches its out-edges in
+	// one pre-sized slice: the backward edge first, then the positive
+	// statements. Only nodes that actually receive energy pay for an edge
+	// list. Negative statements never propagate energy; they are recorded
+	// for the optional post-convergence penalty.
 	type negEdge struct {
 		from int
-		to   model.AgentID
+		to   *model.Agent
 		w    float64 // |t_x(y)|
 	}
 	var negEdges []negEdge
@@ -216,31 +208,31 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 		}
 		nodes[xi].fetched = true
 		explored++
-		stmts := net.Peers(nodes[xi].id)
-		succ := make([]appleseedEdge, 0, len(stmts)+1)
+		refs := net.c.TrustRefs(nodes[xi].ref)
+		succ := make([]appleseedEdge, 0, len(refs)+1)
 		var total float64
 		if xi != 0 && !opt.NoBackprop {
 			succ = append(succ, appleseedEdge{to: 0, w: 1})
 			total = 1
 		}
-		self := nodes[xi].id
-		for _, st := range stmts {
-			if st.Dst == self {
+		self := nodes[xi].ref
+		for _, pr := range refs {
+			if pr.Peer == self {
 				continue
 			}
-			if st.Value <= 0 {
-				if st.Value < 0 && opt.DistrustPenalty > 0 {
-					negEdges = append(negEdges, negEdge{from: xi, to: st.Dst, w: -st.Value})
+			if pr.Value <= 0 {
+				if pr.Value < 0 && opt.DistrustPenalty > 0 {
+					negEdges = append(negEdges, negEdge{from: xi, to: pr.Peer, w: -pr.Value})
 				}
 				continue
 			}
-			yi, ok := discover(st.Dst) // may grow the slab; index access only below
+			yi, ok := discover(pr.Peer) // may grow the slab; index access only below
 			if !ok || yi == xi {
 				continue
 			}
-			w := st.Value
+			w := pr.Value
 			if !linearWeights {
-				w = math.Pow(st.Value, opt.NormExponent)
+				w = math.Pow(pr.Value, opt.NormExponent)
 			}
 			succ = append(succ, appleseedEdge{to: yi, w: w})
 			total += w
@@ -302,189 +294,6 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 			}
 		}
 		for _, e := range negEdges {
-			yi, ok := sym.Lookup(string(e.to))
-			if !ok || yi == 0 {
-				continue // never positively reached, or the source itself
-			}
-			normRank := 1.0 // the source's word counts fully
-			if e.from != 0 {
-				if maxRank == 0 {
-					continue
-				}
-				normRank = nodes[e.from].rank / maxRank
-			}
-			factor := 1 - opt.DistrustPenalty*normRank*e.w
-			if factor < 0 {
-				factor = 0
-			}
-			nodes[yi].rank *= factor
-		}
-	}
-
-	// Collect ranks; optionally drop peers the source explicitly
-	// distrusts — a dense node-indexed flag vector, since every peer that
-	// could appear in the result has an interned node index.
-	var distrusted []bool
-	if opt.RespectDistrust {
-		distrusted = make([]bool, len(nodes))
-		for _, st := range net.Peers(source) {
-			if st.Value < 0 {
-				if i, ok := sym.Lookup(string(st.Dst)); ok {
-					distrusted[i] = true
-				}
-			}
-		}
-	}
-	nb := &Neighborhood{Source: source, Iterations: iterations, Explored: explored}
-	nb.Ranks = make([]Rank, 0, len(nodes)-1)
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i].rank <= 0 || (distrusted != nil && distrusted[i]) {
-			continue
-		}
-		nb.Ranks = append(nb.Ranks, Rank{Agent: nodes[i].id, Trust: nodes[i].rank})
-	}
-	sortRanks(nb.Ranks)
-	return nb, nil
-}
-
-// appleseedRefNode is the per-node state of the refs-based walk: the
-// same fields as appleseedNode with the agent resolved to its record.
-type appleseedRefNode struct {
-	ref       *model.Agent
-	in        float64
-	inNew     float64
-	rank      float64
-	succ      []appleseedEdge
-	succTotal float64
-	fetched   bool
-}
-
-// appleseedRefs is AppleseedCtx over a refNetwork: identical update
-// rule, iteration order, and convergence test, but node discovery and
-// edge traversal index a flat ordinal table instead of hashing string
-// agent IDs — on community-sized neighborhoods this removes thousands
-// of map operations per computation. opt must already be defaulted and
-// validated.
-func appleseedRefs(ctx context.Context, net refNetwork, src *model.Agent, opt AppleseedOptions) (*Neighborhood, error) {
-	hint := net.NumAgents() + 1
-	if opt.MaxNodes > 0 && hint > opt.MaxNodes+1 {
-		hint = opt.MaxNodes + 1
-	}
-	// idx[ord] is the node index + 1 of the agent with that ordinal
-	// (0 = undiscovered) — the community interns agents densely, so the
-	// table covers every reachable agent.
-	idx := make([]int32, net.NumAgents())
-	nodes := make([]appleseedRefNode, 1, hint)
-	nodes[0] = appleseedRefNode{ref: src, in: opt.Injection}
-	idx[src.Ord()] = 1
-
-	discover := func(ref *model.Agent) (int, bool) {
-		if i := idx[ref.Ord()]; i != 0 {
-			return int(i) - 1, true
-		}
-		if opt.MaxNodes > 0 && len(nodes) >= opt.MaxNodes+1 {
-			return 0, false
-		}
-		i := len(nodes)
-		idx[ref.Ord()] = int32(i) + 1
-		nodes = append(nodes, appleseedRefNode{ref: ref})
-		return i, true
-	}
-
-	type negEdge struct {
-		from int
-		to   *model.Agent
-		w    float64 // |t_x(y)|
-	}
-	var negEdges []negEdge
-	explored := 0
-	linearWeights := opt.NormExponent == 1
-	fetch := func(xi int) {
-		if nodes[xi].fetched {
-			return
-		}
-		nodes[xi].fetched = true
-		explored++
-		refs := net.PeerRefs(nodes[xi].ref)
-		succ := make([]appleseedEdge, 0, len(refs)+1)
-		var total float64
-		if xi != 0 && !opt.NoBackprop {
-			succ = append(succ, appleseedEdge{to: 0, w: 1})
-			total = 1
-		}
-		self := nodes[xi].ref
-		for _, pr := range refs {
-			if pr.Peer == self {
-				continue
-			}
-			if pr.Value <= 0 {
-				if pr.Value < 0 && opt.DistrustPenalty > 0 {
-					negEdges = append(negEdges, negEdge{from: xi, to: pr.Peer, w: -pr.Value})
-				}
-				continue
-			}
-			yi, ok := discover(pr.Peer) // may grow the slab; index access only below
-			if !ok || yi == xi {
-				continue
-			}
-			w := pr.Value
-			if !linearWeights {
-				w = math.Pow(pr.Value, opt.NormExponent)
-			}
-			succ = append(succ, appleseedEdge{to: yi, w: w})
-			total += w
-		}
-		nodes[xi].succ = succ
-		nodes[xi].succTotal = total
-	}
-
-	d := opt.SpreadingFactor
-	iterations := 0
-	for ; iterations < opt.MaxIterations; iterations++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		maxDelta := 0.0
-		live := len(nodes)
-		for xi := 0; xi < live; xi++ {
-			if nodes[xi].in == 0 {
-				continue
-			}
-			fetch(xi) // may grow the slab: re-take the pointer after
-			x := &nodes[xi]
-			energy := x.in
-			x.in = 0
-			if xi != 0 { // the source hoards no rank
-				x.rank += (1 - d) * energy
-				if delta := (1 - d) * energy; delta > maxDelta {
-					maxDelta = delta
-				}
-			}
-			if x.succTotal == 0 {
-				continue
-			}
-			m := d * energy / x.succTotal
-			for _, e := range x.succ {
-				nodes[e.to].inNew += m * e.w
-			}
-		}
-		for i := range nodes {
-			nodes[i].in += nodes[i].inNew
-			nodes[i].inNew = 0
-		}
-		if maxDelta < opt.Threshold && iterations > 0 {
-			break
-		}
-	}
-
-	if opt.DistrustPenalty > 0 && len(negEdges) > 0 {
-		maxRank := 0.0
-		for i := 1; i < len(nodes); i++ {
-			if nodes[i].rank > maxRank {
-				maxRank = nodes[i].rank
-			}
-		}
-		for _, e := range negEdges {
 			ni := idx[e.to.Ord()]
 			if ni <= 1 {
 				continue // never positively reached, or the source itself
@@ -505,10 +314,12 @@ func appleseedRefs(ctx context.Context, net refNetwork, src *model.Agent, opt Ap
 		}
 	}
 
+	// Collect ranks; optionally drop peers the source explicitly
+	// distrusts.
 	var distrusted map[*model.Agent]bool
 	if opt.RespectDistrust {
 		distrusted = make(map[*model.Agent]bool)
-		for _, pr := range net.PeerRefs(src) {
+		for _, pr := range net.c.TrustRefs(src) {
 			if pr.Value < 0 {
 				distrusted[pr.Peer] = true
 			}

@@ -305,8 +305,11 @@ func TestAppleseedEmptyAndUnknownSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nb.Ranks) != 0 {
-		t.Fatalf("unknown source must yield empty neighborhood, got %+v", nb.Ranks)
+	// The shape is the one pass that fetches the source's (empty)
+	// statements and spreads nothing: a non-nil empty rank list, one
+	// iteration, one explored agent.
+	if nb.Source != "ghost" || nb.Ranks == nil || len(nb.Ranks) != 0 || nb.Iterations != 1 || nb.Explored != 1 {
+		t.Fatalf("unknown source neighborhood = %+v, want {ghost [] 1 1}", nb)
 	}
 }
 

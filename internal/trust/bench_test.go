@@ -8,22 +8,6 @@ import (
 	"swrec/internal/model"
 )
 
-// plainNet hides the community's refNetwork fast path so a benchmark (or
-// differential test) exercises the generic walk the way a partially
-// crawled, non-community view would. It keeps the size hint — both paths
-// deserve fair pre-sizing.
-type plainNet struct{ c *model.Community }
-
-func (n plainNet) Peers(a model.AgentID) []model.TrustStatement {
-	ag := n.c.Agent(a)
-	if ag == nil {
-		return nil
-	}
-	return ag.TrustedPeers()
-}
-
-func (n plainNet) NumAgents() int { return n.c.NumAgents() }
-
 func benchTrustCommunity(b *testing.B, agents int) *model.Community {
 	b.Helper()
 	cfg := datagen.SmallScale()
@@ -33,35 +17,13 @@ func benchTrustCommunity(b *testing.B, agents int) *model.Community {
 	return comm
 }
 
-// BenchmarkAppleseedRefs measures one full Appleseed computation over the
-// community adapter's resolved-reference fast path: node discovery and
-// edge traversal index a flat ordinal table.
+// BenchmarkAppleseedRefs measures one full Appleseed computation: node
+// discovery and edge traversal index a flat ordinal table.
 func BenchmarkAppleseedRefs(b *testing.B) {
 	for _, agents := range []int{100, 400} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
 			comm := benchTrustCommunity(b, agents)
 			net := FromCommunity(comm)
-			src := comm.Agents()[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Appleseed(net, src, AppleseedOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAppleseedGeneric measures the same computation over a Network
-// that exposes no resolved references — the path every non-community
-// trust view takes, and the one the interned-ID refactor moves from
-// string-keyed maps to a dense interner.
-func BenchmarkAppleseedGeneric(b *testing.B) {
-	for _, agents := range []int{100, 400} {
-		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
-			comm := benchTrustCommunity(b, agents)
-			net := plainNet{comm}
 			src := comm.Agents()[0]
 			b.ReportAllocs()
 			b.ResetTimer()

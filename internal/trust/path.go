@@ -81,9 +81,7 @@ func PathTrust(net Network, source model.AgentID, opt PathTrustOptions) (*Neighb
 	}
 
 	var sym graph.Interner
-	if sh, ok := net.(sizeHinter); ok {
-		sym.Reserve(sh.NumAgents())
-	}
+	sym.Reserve(net.c.NumAgents())
 	sym.Intern(string(source))
 	// best[node] is the strongest chain found so far; 0 doubles as "not
 	// reached", which is unambiguous because only positive trust values
@@ -116,7 +114,7 @@ func PathTrust(net Network, source model.AgentID, opt PathTrustOptions) (*Neighb
 			continue
 		}
 		explored++
-		for _, st := range net.Peers(it.agent) {
+		for _, st := range net.peers(it.agent) {
 			if st.Value <= 0 {
 				continue
 			}

@@ -19,9 +19,11 @@
 //     strongest multiplicative trust chain from the source, standing in
 //     for classic scalar metrics (Beth et al. [10]) in the experiments.
 //
-// All metrics consume a Network, an abstraction over "whose trust
-// statements can I fetch" that both a fully materialized model.Community
-// and a partially crawled view satisfy.
+// All metrics consume a Network: a materialized community's trust graph,
+// read through the agents' densely interned records. Appleseed and the
+// one-hop widening walk index flat tables by Agent.Ord, so no edge visit
+// hashes a URI; PathTrust and Advogato read the same edges as
+// statements.
 package trust
 
 import (
@@ -30,55 +32,24 @@ import (
 	"swrec/internal/model"
 )
 
-// Network exposes the partial trust graph a metric may explore. Statements
-// carry values in [-1, +1]; negative values are explicit distrust, which
-// the metrics must not confuse with absence of trust (§3.1, Marsh [8]).
-type Network interface {
-	// Peers returns the trust statements issued by a. The result may be
-	// empty for unknown or silent agents.
-	Peers(a model.AgentID) []model.TrustStatement
-}
-
-// communityNet adapts a materialized community to the Network interface.
-type communityNet struct { //nolint:snapshotpin -- request-scoped adapter: built, walked by one Appleseed run, and dropped
+// Network is the trust graph a metric may explore. Statements carry
+// values in [-1, +1]; negative values are explicit distrust, which the
+// metrics must not confuse with absence of trust (§3.1, Marsh [8]).
+type Network struct { //nolint:snapshotpin -- request-scoped view: built, walked by one metric run, and dropped
 	c *model.Community
 }
 
 // FromCommunity exposes a community's trust edges as a Network.
-func FromCommunity(c *model.Community) Network { return communityNet{c} }
+func FromCommunity(c *model.Community) Network { return Network{c} }
 
-func (n communityNet) Peers(a model.AgentID) []model.TrustStatement {
+// peers returns the trust statements issued by a; empty for unknown or
+// silent agents.
+func (n Network) peers(a model.AgentID) []model.TrustStatement {
 	ag := n.c.Agent(a)
 	if ag == nil {
 		return nil
 	}
 	return ag.TrustedPeers()
-}
-
-// NumAgents bounds the explorable node count, letting metrics pre-size
-// their frontier structures (see sizeHinter).
-func (n communityNet) NumAgents() int { return n.c.NumAgents() }
-
-// AgentRef resolves an agent ID to its community record (nil if unknown).
-func (n communityNet) AgentRef(a model.AgentID) *model.Agent { return n.c.Agent(a) }
-
-// PeerRefs returns a's trust statements with resolved, densely-interned
-// targets — the allocation- and hash-free edge list of refNetwork.
-func (n communityNet) PeerRefs(a *model.Agent) []model.TrustRef { return n.c.TrustRefs(a) }
-
-// sizeHinter is the optional Network capability of bounded graphs: the
-// number of agents a full exploration could possibly discover.
-type sizeHinter interface {
-	NumAgents() int
-}
-
-// refNetwork is the optional Network fast path community adapters offer:
-// trust edges resolved to densely-interned agent records, so graph walks
-// index flat tables by Agent.Ord instead of hashing string IDs per edge.
-type refNetwork interface {
-	AgentRef(model.AgentID) *model.Agent
-	PeerRefs(*model.Agent) []model.TrustRef
-	NumAgents() int
 }
 
 // Rank is one entry of a computed trust neighborhood: the peer and its

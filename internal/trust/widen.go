@@ -1,9 +1,6 @@
 package trust
 
-import (
-	"swrec/internal/graph"
-	"swrec/internal/model"
-)
+import "swrec/internal/model"
 
 // WidenOneHop expands a computed neighborhood by one trust hop beyond
 // its current range — the ladder's answer to thin neighborhoods where
@@ -21,35 +18,27 @@ import (
 // ranks untouched; negative statements never widen (distrust must not
 // recruit). The input neighborhood is not modified.
 //
-// Community-backed networks take an ordinal-indexed walk: membership and
-// contributions live in flat tables indexed by Agent.Ord, so no edge
-// visit hashes a URI. Generic networks fall back to interning discovered
-// agents to dense indices once each.
+// Membership and contributions live in flat tables indexed by
+// Agent.Ord, so no edge visit hashes a URI, and the touched list keeps
+// the collection pass proportional to the widened frontier rather than
+// the community size. Members or a source the network does not know
+// contribute nothing.
 func WidenOneHop(net Network, nb *Neighborhood, decay float64) *Neighborhood {
 	if decay <= 0 || decay > 1 {
 		decay = 0.5
 	}
-	if rn, ok := net.(refNetwork); ok {
-		if src := rn.AgentRef(nb.Source); src != nil {
-			return widenRefs(rn, nb, src, decay)
-		}
-	}
-	return widenGeneric(net, nb, decay)
-}
-
-// widenRefs is the refNetwork fast path: in/added are dense ordinal
-// tables, the touched list keeps the collection pass proportional to the
-// widened frontier rather than the community size.
-func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64) *Neighborhood {
-	n := net.NumAgents()
+	n := net.c.NumAgents()
 	in := make([]bool, n)
 	added := make([]float64, n)
 	var touched []*model.Agent
 
-	in[src.Ord()] = true
+	src := net.c.Agent(nb.Source)
+	if src != nil {
+		in[src.Ord()] = true
+	}
 	maxRank := 0.0
 	for _, r := range nb.Ranks {
-		if a := net.AgentRef(r.Agent); a != nil {
+		if a := net.c.Agent(r.Agent); a != nil {
 			in[a.Ord()] = true
 		}
 		if r.Trust > maxRank {
@@ -62,8 +51,11 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 
 	explored := 0
 	contribute := func(from *model.Agent, rank float64) {
+		if from == nil {
+			return
+		}
 		explored++
-		for _, pr := range net.PeerRefs(from) {
+		for _, pr := range net.c.TrustRefs(from) {
 			if pr.Value <= 0 {
 				continue
 			}
@@ -81,9 +73,7 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 	}
 	contribute(src, maxRank)
 	for _, r := range nb.Ranks {
-		if a := net.AgentRef(r.Agent); a != nil {
-			contribute(a, r.Trust)
-		}
+		contribute(net.c.Agent(r.Agent), r.Trust)
 	}
 
 	out := &Neighborhood{
@@ -95,70 +85,6 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 	copy(out.Ranks, nb.Ranks)
 	for _, ref := range touched {
 		out.Ranks = append(out.Ranks, Rank{Agent: ref.ID, Trust: added[ref.Ord()]})
-	}
-	sortRanks(out.Ranks)
-	return out
-}
-
-// widenGeneric is WidenOneHop over a plain Network: discovered agents are
-// interned to dense indices, membership and contribution live in flat
-// slices over the intern space.
-func widenGeneric(net Network, nb *Neighborhood, decay float64) *Neighborhood {
-	var sym graph.Interner
-	sym.Intern(string(nb.Source))
-	for _, r := range nb.Ranks {
-		sym.Intern(string(r.Agent))
-	}
-	// Indices below inCount are the source and current members; every
-	// index at or past it is a widened candidate.
-	inCount := sym.Len()
-	maxRank := 0.0
-	for _, r := range nb.Ranks {
-		if r.Trust > maxRank {
-			maxRank = r.Trust
-		}
-	}
-	if maxRank <= 0 {
-		maxRank = 1
-	}
-
-	var added []float64 // added[i-inCount] is candidate i's best contribution
-	explored := 0
-	contribute := func(from model.AgentID, rank float64) {
-		explored++
-		for _, st := range net.Peers(from) {
-			if st.Value <= 0 {
-				continue
-			}
-			i := sym.Intern(string(st.Dst))
-			if i < inCount {
-				continue
-			}
-			j := i - inCount
-			if j == len(added) {
-				added = append(added, 0)
-			}
-			if r := decay * rank * st.Value; r > added[j] {
-				added[j] = r
-			}
-		}
-	}
-	contribute(nb.Source, maxRank)
-	for _, r := range nb.Ranks {
-		contribute(r.Agent, r.Trust)
-	}
-
-	out := &Neighborhood{
-		Source:     nb.Source,
-		Iterations: nb.Iterations,
-		Explored:   nb.Explored + explored,
-	}
-	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(added))
-	copy(out.Ranks, nb.Ranks)
-	for j, r := range added {
-		if r > 0 {
-			out.Ranks = append(out.Ranks, Rank{Agent: model.AgentID(sym.Name(inCount + j)), Trust: r})
-		}
 	}
 	sortRanks(out.Ranks)
 	return out

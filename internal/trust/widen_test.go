@@ -6,17 +6,27 @@ import (
 	"swrec/internal/model"
 )
 
-// mapNet is a literal trust graph for widening tests.
-type mapNet map[model.AgentID][]model.TrustStatement
-
-func (m mapNet) Peers(a model.AgentID) []model.TrustStatement { return m[a] }
+// edgeNet builds a literal trust graph for widening tests; the source
+// "src" is always a known agent, even when it issues no statements.
+func edgeNet(t *testing.T, edges ...model.TrustStatement) Network {
+	t.Helper()
+	c := model.NewCommunity(nil)
+	c.AddAgent("src")
+	for _, e := range edges {
+		if err := c.SetTrust(e.Src, e.Dst, e.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return FromCommunity(c)
+}
 
 func TestWidenOneHopRecruitsFrontier(t *testing.T) {
-	net := mapNet{
-		"src": {{Src: "src", Dst: "a", Value: 1}},
-		"a":   {{Src: "a", Dst: "b", Value: 0.8}, {Src: "a", Dst: "bad", Value: -0.9}},
-		"b":   {{Src: "b", Dst: "c", Value: 1}},
-	}
+	net := edgeNet(t,
+		model.TrustStatement{Src: "src", Dst: "a", Value: 1},
+		model.TrustStatement{Src: "a", Dst: "b", Value: 0.8},
+		model.TrustStatement{Src: "a", Dst: "bad", Value: -0.9},
+		model.TrustStatement{Src: "b", Dst: "c", Value: 1},
+	)
 	nb := &Neighborhood{Source: "src", Ranks: []Rank{{Agent: "a", Trust: 0.6}}, Explored: 2}
 	wide := WidenOneHop(net, nb, 0.5)
 
@@ -48,7 +58,7 @@ func TestWidenOneHopRecruitsFrontier(t *testing.T) {
 func TestWidenOneHopSourceContributesAtMaxRank(t *testing.T) {
 	// The source's own statements widen too, at the neighborhood's max
 	// rank — and with an empty neighborhood, at rank 1.
-	net := mapNet{"src": {{Src: "src", Dst: "d", Value: 0.9}}}
+	net := edgeNet(t, model.TrustStatement{Src: "src", Dst: "d", Value: 0.9})
 	empty := &Neighborhood{Source: "src"}
 	wide := WidenOneHop(net, empty, 0.5)
 	if len(wide.Ranks) != 1 || wide.Ranks[0].Agent != "d" || wide.Ranks[0].Trust != 0.5*0.9 {
@@ -57,10 +67,10 @@ func TestWidenOneHopSourceContributesAtMaxRank(t *testing.T) {
 }
 
 func TestWidenOneHopKeepsStrongestContribution(t *testing.T) {
-	net := mapNet{
-		"a": {{Src: "a", Dst: "x", Value: 1}},
-		"b": {{Src: "b", Dst: "x", Value: 1}},
-	}
+	net := edgeNet(t,
+		model.TrustStatement{Src: "a", Dst: "x", Value: 1},
+		model.TrustStatement{Src: "b", Dst: "x", Value: 1},
+	)
 	nb := &Neighborhood{Source: "src", Ranks: []Rank{{Agent: "a", Trust: 0.9}, {Agent: "b", Trust: 0.2}}}
 	wide := WidenOneHop(net, nb, 0.5)
 	for _, r := range wide.Ranks {
@@ -71,13 +81,11 @@ func TestWidenOneHopKeepsStrongestContribution(t *testing.T) {
 }
 
 func TestWidenOneHopDeterministicOrder(t *testing.T) {
-	net := mapNet{
-		"src": {
-			{Src: "src", Dst: "p1", Value: 0.7},
-			{Src: "src", Dst: "p2", Value: 0.7},
-			{Src: "src", Dst: "p3", Value: 0.7},
-		},
-	}
+	net := edgeNet(t,
+		model.TrustStatement{Src: "src", Dst: "p1", Value: 0.7},
+		model.TrustStatement{Src: "src", Dst: "p2", Value: 0.7},
+		model.TrustStatement{Src: "src", Dst: "p3", Value: 0.7},
+	)
 	nb := &Neighborhood{Source: "src"}
 	first := WidenOneHop(net, nb, 0.5)
 	for i := 0; i < 10; i++ {
